@@ -94,7 +94,7 @@ class BasicEngine:
         self.k = k
         # Live out-neighbour sets: nodes are physically removed when their
         # clique enters S, exactly like the paper's residual graph.
-        self.out = [set(s) for s in dag.out]
+        self.out = dag.out_sets()
         self.valid = [True] * graph.n
         self.scan = dag.nodes_ascending()
         self.pos = 0

@@ -38,7 +38,7 @@ from repro.graph.graph import Graph
 from repro.cliques.counting import node_scores
 from repro.cliques.listing import iter_cliques
 from repro.core.result import CliqueSetResult
-from repro.core.scores import clique_key
+from repro.core.scores import sort_by_clique_key
 
 #: Frame layout: ``[next_i, used_mask, owns_choice, depth]`` — the scan
 #: cursor, the bitset of covered nodes, whether this frame pushed onto
@@ -97,10 +97,9 @@ class ExactBBEngine:
                     f"exact B&B exceeded its clique budget of {max_cliques}"
                 )
             # The tuples are used as-is: masks and result frozensets are
-            # member-order-independent and clique_key sorts internally, so
-            # the (typically session-cached) list is only shallow-copied.
-            cliques = list(cliques)
-        cliques.sort(key=lambda c: clique_key(c, scores))
+            # member-order-independent and the key sort orders each row
+            # itself, so the (typically session-cached) list is only read.
+        cliques = sort_by_clique_key(cliques, scores)
 
         self.k = k
         self.cliques = cliques

@@ -66,7 +66,8 @@ class _FindMin:
     """Recursive local-minimum clique search with optional score pruning.
 
     Set-backend engine: ``out`` holds *live* out-neighbour sets that
-    :meth:`invalidate` physically shrinks as cliques enter the solution.
+    :meth:`invalidate` physically shrinks as cliques enter the solution,
+    and ``scores`` is a plain list so the walk never boxes numpy scalars.
     """
 
     __slots__ = ("out", "scores", "prune", "stats", "graph", "valid", "best_key", "best")
@@ -74,7 +75,7 @@ class _FindMin:
     def __init__(
         self,
         out: list[set[int]],
-        scores: np.ndarray,
+        scores: list[int],
         prune: bool,
         stats: dict[str, float],
         graph: Graph | None = None,
@@ -113,7 +114,7 @@ class _FindMin:
         self.best = None
         candidates = self.out[root]
         if len(candidates) >= k - 1:
-            self._walk([root], candidates, k - 1, int(self.scores[root]))
+            self._walk([root], candidates, k - 1, self.scores[root])
         if self.best is None:
             return None
         return self.best_key, self.best
@@ -127,7 +128,7 @@ class _FindMin:
         if need == 1:
             # Only reachable for k = 2 (greedy matching degenerate case).
             for u in candidates:
-                total = score_sum + int(scores[u])
+                total = score_sum + scores[u]
                 if total > best_score:
                     continue
                 clique = tuple(sorted(prefix + [u]))
@@ -139,12 +140,12 @@ class _FindMin:
             return
         if need == 2:
             for u in sorted(candidates):
-                su = int(scores[u])
+                su = scores[u]
                 if self.prune and score_sum + su >= best_score:
                     self.stats["branches_pruned"] += 1
                     continue
                 for v in candidates & out[u]:
-                    total = score_sum + su + int(scores[v])
+                    total = score_sum + su + scores[v]
                     if total > best_score:
                         continue
                     clique = tuple(sorted(prefix + [u, v]))
@@ -155,7 +156,7 @@ class _FindMin:
                         best_score = total
             return
         for u in sorted(candidates):
-            su = int(scores[u])
+            su = scores[u]
             if self.prune and score_sum + su >= best_score:
                 self.stats["branches_pruned"] += 1
                 continue
@@ -327,10 +328,6 @@ class LightweightEngine:
         self.k = k
         self.prune = prune
         self.tag = "lp" if prune else "l"
-        # ``oriented`` must be the by_score orientation of ``graph``
-        # under ``scores`` (e.g. Preprocessing.score_oriented); it is
-        # only read — the engine works on copies/masks.
-        rank = oriented.rank if oriented is not None else by_score(graph, scores)
         self.stats: dict[str, float] = {
             "findmin_calls": 0,
             "branches_pruned": 0,
@@ -339,30 +336,31 @@ class LightweightEngine:
             "stale_pops": 0,
             "cliques_taken": 0,
         }
-        state: dict = {
-            "backend": findmin_backend, "scores": scores, "prune": prune, "k": k
-        }
+        # ``oriented`` must be the by_score orientation of ``graph``
+        # under ``scores`` (e.g. Preprocessing.score_oriented); it is
+        # only read — the engine works on fresh sets/masks.
+        dag = oriented if oriented is not None else OrientedGraph(
+            graph, by_score(graph, scores)
+        )
         if findmin_backend == "csr":
-            ocsr = oriented.csr() if oriented is not None else OrientedCSR.from_rank(
-                graph, rank
-            )
             valid_mask = np.ones(graph.n, dtype=bool)
             self.finder: _FindMin | _FindMinCSR = _FindMinCSR(
-                ocsr, scores, prune, self.stats, valid_mask
+                dag.csr(), scores, prune, self.stats, valid_mask
             )
-            state.update(ocsr=ocsr, valid=valid_mask)
         else:
-            dag = oriented if oriented is not None else OrientedGraph(graph, rank)
-            out = [set(s) for s in dag.out]
             self.finder = _FindMin(
-                out, scores, prune, self.stats, graph, [True] * graph.n
+                dag.out_sets(),
+                np.asarray(scores, dtype=np.int64).tolist(),
+                prune,
+                self.stats,
+                graph,
+                [True] * graph.n,
             )
-            # ``dag`` kept for the parallel path: HeapInit workers always
-            # run the CSR walk (same candidates, same counters), so a
-            # sets-backend engine lazily derives oriented-CSR arrays from
-            # it when (and only when) the fan-out actually happens.
-            state.update(out=out, dag=dag)
-        self._pstate = state
+        # Kept for the parallel path: HeapInit workers always run the CSR
+        # walk (same candidates, same counters) over ``dag.csr()``, built
+        # when (and only when) the fan-out happens, with numpy scores.
+        self._dag = dag
+        self._scores = scores
 
         if workers == 0:
             workers = os.cpu_count() or 1
@@ -404,16 +402,14 @@ class LightweightEngine:
             # import: repro.parallel sits above core in the layer DAG.
             from repro.parallel.heapinit import parallel_heap_init
 
-            state = self._pstate
-            ocsr = state["ocsr"] if "ocsr" in state else state["dag"].csr()
             finder = self.finder
             if isinstance(finder, _FindMinCSR):
                 valid = finder.valid
             else:
                 valid = np.asarray(finder.valid, dtype=bool)
             self.heap = parallel_heap_init(
-                ocsr=ocsr,
-                scores=state["scores"],
+                ocsr=self._dag.csr(),
+                scores=self._scores,
                 valid=valid,
                 k=self.k,
                 prune=self.prune,

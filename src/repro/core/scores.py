@@ -11,15 +11,18 @@ min-degree greedy MIS there.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+from repro.errors import InvalidParameterError
 from repro.graph.ordering import OrderSpec
 from repro.cliques.counting import node_scores
 from repro.graph.graph import Graph
 
 CliqueKey = tuple[int, tuple[int, ...]]
+CliqueT = TypeVar("CliqueT", bound=Collection[int])
 
 
 def clique_score(clique: Iterable[int], scores: Sequence[int]) -> int:
@@ -35,6 +38,32 @@ def clique_key(clique: Iterable[int], scores: Sequence[int]) -> CliqueKey:
     """
     members = tuple(sorted(clique))
     return (clique_score(members, scores), members)
+
+
+def sort_by_clique_key(
+    cliques: Sequence[CliqueT], scores: Sequence[int] | np.ndarray
+) -> list[CliqueT]:
+    """``cliques`` stably sorted by :func:`clique_key`, in one numpy pass.
+
+    Same order as ``sorted(cliques, key=lambda c: clique_key(c, scores))``
+    (the input objects are returned, not copies), without a per-member
+    numpy scalar index: the members go into a ``(C, k)`` int64 array,
+    each row is sorted, the row scores are summed from ``scores`` and a
+    stable ``np.lexsort`` orders by (score, sorted members). Every clique
+    must have the same size.
+    """
+    if not len(cliques):
+        return []
+    k = len(cliques[0])
+    if any(len(c) != k for c in cliques):
+        raise InvalidParameterError("cliques must all have the same size")
+    members = np.fromiter(
+        chain.from_iterable(cliques), dtype=np.int64, count=len(cliques) * k
+    ).reshape(len(cliques), k)
+    members.sort(axis=1)
+    totals = np.asarray(scores, dtype=np.int64)[members].sum(axis=1)
+    order = np.lexsort((*members.T[::-1], totals))
+    return [cliques[i] for i in order.tolist()]
 
 
 def degree_bounds(clique: Iterable[int], scores: Sequence[int], k: int) -> tuple[float, int]:

@@ -23,7 +23,8 @@ The legacy one-shot :func:`repro.core.api.find_disjoint_cliques` remains
 fully supported; it simply delegates to a throwaway session.
 
 Cache invariants: all cached substrates are read-only after
-construction (solvers copy the DAG out-sets and never mutate score
+construction (solvers build fresh residual sets from a DAG's CSR rows
+instead of touching its cached out-sets, and never mutate score
 arrays or clique lists), and nothing here depends on the method tag —
 only on ``(graph, k)`` and the orientation name — so any method mix
 shares them safely.
@@ -329,7 +330,9 @@ class Preprocessing:
                 total += int(rank.nbytes)
             # Order-independent accumulation into a size total.
             for dag in (*self._oriented.values(), *self._score_oriented.values()):  # repro-lint: ignore=iterorder
-                total += graph.n * 64 + graph.m * 60 + int(dag.rank.nbytes)
+                total += int(dag.rank.nbytes)
+                if dag.has_out:  # lazy out-sets: ~60 bytes per arc
+                    total += graph.n * 64 + graph.m * 60
                 if dag.has_csr:
                     csr = dag.csr()
                     total += int(csr.indptr.nbytes + csr.cols.nbytes)

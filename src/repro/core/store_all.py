@@ -24,7 +24,7 @@ from repro.graph.ordering import OrderSpec
 from repro.cliques.counting import node_scores
 from repro.cliques.listing import iter_cliques
 from repro.core.result import CliqueSetResult
-from repro.core.scores import clique_key
+from repro.core.scores import sort_by_clique_key
 
 
 def store_all_cliques(
@@ -89,7 +89,7 @@ def store_all_cliques(
                 f"Algorithm 2 exceeded its clique budget of {max_cliques} (k={k})"
             )
         stored = list(cliques)
-    stored.sort(key=lambda c: clique_key(c, scores))
+    stored = sort_by_clique_key(stored, scores)
 
     used = [False] * graph.n
     solution: list[frozenset[int]] = []

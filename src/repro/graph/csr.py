@@ -19,11 +19,13 @@ Helpers
     Galloping (searchsorted) intersection of two sorted unique arrays.
 :func:`adjacency_sets`
     Materialise per-node neighbour sets from flat CSR arrays (the
-    shared-memory attach path of :mod:`repro.parallel`).
+    shared-memory attach path of :mod:`repro.parallel`, and the
+    engines' residual sets of an orientation).
 """
 
 from __future__ import annotations
 
+from itertools import chain, pairwise
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,14 +86,14 @@ def adjacency_sets(indptr: np.ndarray, cols: np.ndarray) -> list[set[int]]:
     The inverse of draining a graph's adjacency into CSR form: used by
     :meth:`repro.graph.graph.Graph.from_csr_arrays` to rebuild the
     set substrate in worker processes that attached to shared CSR
-    arrays zero-copy. Rows need not be sorted; values are converted to
-    builtin ``int`` so downstream set algebra never mixes numpy
-    scalars in.
+    arrays zero-copy, and by
+    :meth:`repro.graph.dag.OrientedGraph.out_sets` to derive the solver
+    engines' residual sets from oriented rows. Rows need not be sorted;
+    values are converted to builtin ``int`` (one ``tolist`` over the
+    whole array) so downstream set algebra never mixes numpy scalars in.
     """
-    n = len(indptr) - 1
-    return [
-        {int(v) for v in cols[indptr[u] : indptr[u + 1]]} for u in range(n)
-    ]
+    flat = cols.tolist()
+    return [set(flat[lo:hi]) for lo, hi in pairwise(indptr.tolist())]
 
 
 class CSRAdjacency:
@@ -116,9 +118,11 @@ class CSRAdjacency:
         """Build from a :class:`repro.graph.graph.Graph`.
 
         Construction is bulk numpy work: one pass drains every adjacency
-        set into a flat int64 array, then a single stable ``np.lexsort``
-        keyed on ``(row, col)`` sorts all rows at once — no per-node
-        Python ``sorted()`` calls.
+        set into a flat int64 array, then a single in-place sort of the
+        int64 key ``row * n + col`` orders all rows at once — no
+        per-node Python ``sorted()`` calls. Keys are unique (a simple
+        graph has no repeated ``(row, col)`` pair), so the result is the
+        same as a stable ``(row, col)`` lexsort.
         """
         n = graph.n
         degrees = graph.degrees
@@ -126,13 +130,17 @@ class CSRAdjacency:
         np.cumsum(degrees, out=indptr[1:])
         total = int(indptr[-1])
         cols = np.fromiter(
-            (v for u in range(n) for v in graph.neighbors(u)),
+            chain.from_iterable(map(graph.neighbors, range(n))),
             dtype=np.int64,
             count=total,
         )
         if total:
-            rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-            cols = cols[np.lexsort((cols, rows))]
+            # Sorting keeps every row's entries in its own slice, so the
+            # same row offsets subtract back out.
+            base = np.repeat(np.arange(0, n * n, n, dtype=np.int64), degrees)
+            keys = base + cols
+            keys.sort()
+            cols = keys - base
         return cls(indptr, cols)
 
     @property

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.concurrency import make_lock
+from repro.graph.csr import adjacency_sets
 from repro.graph.graph import Graph
 from repro.graph import ordering as _ordering
 
@@ -72,6 +73,10 @@ class OrientedCSR:
 class OrientedGraph:
     """An orientation of a :class:`Graph` under a total ordering.
 
+    Nothing is materialised up front: the oriented CSR (:meth:`csr`)
+    is built on first use, and Python sets only where a set walk needs
+    them, so csr-path solves never build sets.
+
     Attributes
     ----------
     graph:
@@ -80,25 +85,23 @@ class OrientedGraph:
         ``rank[u]`` is the position of ``u`` in the total order.
     out:
         ``out[u]`` is the *set* of out-neighbours of ``u`` (all with
-        smaller rank), used by the ``"sets"`` enumeration backend. The
-        array twin for the ``"csr"`` backend is built lazily by
-        :meth:`csr`.
+        smaller rank), read by the ``"sets"`` enumeration backend.
+        Built lazily on first access and cached; the solver engines,
+        which mutate their residual sets, take fresh sets derived from
+        the CSR rows via :meth:`out_sets` instead.
     """
 
-    __slots__ = ("graph", "rank", "out", "_csr", "_lock")
+    __slots__ = ("graph", "rank", "_out", "_csr", "_lock")
 
     def __init__(self, graph: Graph, rank: np.ndarray) -> None:
         self.graph = graph
         self.rank = rank
-        self.out: list[set[int]] = [
-            {v for v in graph.neighbors(u) if rank[v] < rank[u]}
-            for u in range(graph.n)
-        ]
+        self._out: list[set[int]] | None = None
         self._csr: OrientedCSR | None = None
-        # Guards the lazy CSR memo: engines call csr() outside the
-        # preprocessing lock (e.g. the lightweight engine's deferred
-        # substrate build), so concurrent tasks over a shared session
-        # could otherwise race the O(n + m) orientation build.
+        # Guards the lazy CSR and out-set memos: engines call csr()
+        # outside the preprocessing lock (e.g. the lightweight engine's
+        # deferred substrate build), so concurrent tasks over a shared
+        # session could otherwise race the O(n + m) orientation build.
         self._lock = make_lock("OrientedGraph._lock")
 
     def csr(self) -> OrientedCSR:
@@ -114,6 +117,44 @@ class OrientedGraph:
         """Whether the CSR twin has been built (without building it)."""
         return self._csr is not None
 
+    @property
+    def out(self) -> list[set[int]]:
+        """Cached out-neighbour sets, built on first use.
+
+        Each set is filled in the iteration order of the graph's
+        neighbour set, not from the sorted CSR row: the ``"sets"``
+        listing yields cliques in set-iteration order, and callers such
+        as the clique-graph build label cliques in that order, so the
+        order is part of their output.
+        """
+        if self._out is None:
+            with self._lock:
+                if self._out is None:
+                    rank = np.asarray(self.rank).tolist()
+                    self._out = [
+                        {v for v in nbrs if rank[v] < ru}
+                        for nbrs, ru in zip(map(self.graph.neighbors, range(self.n)), rank)
+                    ]
+        return self._out
+
+    @property
+    def has_out(self) -> bool:
+        """Whether the cached out-sets have been built (without building them)."""
+        return self._out is not None
+
+    def out_sets(self) -> list[set[int]]:
+        """Fresh mutable out-neighbour sets, one per node, from the CSR rows.
+
+        Never cached: the solver engines shrink them as their residual
+        graph. The cached CSR is used when it exists; otherwise the rows
+        are oriented for this call only, so taking sets never changes
+        what the orientation has materialised.
+        """
+        ocsr = self._csr
+        if ocsr is None:
+            ocsr = OrientedCSR.from_rank(self.graph, self.rank)
+        return adjacency_sets(ocsr.indptr, ocsr.cols)
+
     @classmethod
     def orient(cls, graph: Graph, order: _ordering.OrderSpec = "degeneracy") -> "OrientedGraph":
         """Orient ``graph`` by a named ordering, rank array or callable."""
@@ -127,17 +168,19 @@ class OrientedGraph:
 
     def out_degree(self, u: int) -> int:
         """Out-degree of ``u``."""
-        return len(self.out[u])
+        indptr = self.csr().indptr
+        return int(indptr[u + 1] - indptr[u])
 
     def max_out_degree(self) -> int:
         """Largest out-degree; bounds the clique-listing recursion width."""
-        return max((len(s) for s in self.out), default=0)
+        degrees = self.csr().out_degrees()
+        return int(degrees.max()) if len(degrees) else 0
 
     def nodes_ascending(self) -> list[int]:
         """Node ids sorted by ascending rank (Algorithm 1's scan order)."""
         order = np.empty(self.n, dtype=np.int64)
         order[self.rank] = np.arange(self.n)
-        return [int(u) for u in order]
+        return order.tolist()
 
     def root_of(self, clique: Sequence[int]) -> int:
         """The unique largest-rank node of ``clique`` under this orientation."""

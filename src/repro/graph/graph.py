@@ -3,12 +3,15 @@
 The paper's algorithms operate on simple undirected graphs with nodes
 labelled ``0 .. n-1``. :class:`Graph` stores adjacency twice:
 
-* a list of Python ``set`` objects — the substrate of the ``"sets"``
-  enumeration backend and of incremental neighbourhood queries, and
+* a list of Python ``set`` objects — the construction substrate, read
+  by incremental neighbourhood queries and the ``"sets"`` enumeration
+  backend, and
 * a CSR view (:mod:`repro.graph.csr`) built lazily — sorted int64 row
-  arrays powering the numpy bulk statistics *and* the ``"csr"``
-  enumeration backend (oriented CSR construction, vectorised k-clique
-  counting/scoring; see :mod:`repro.cliques.csr_kernels`).
+  arrays powering the numpy bulk statistics, the ``"csr"`` enumeration
+  backend (vectorised k-clique counting/scoring; see
+  :mod:`repro.cliques.csr_kernels`) and every orientation: an
+  :class:`~repro.graph.dag.OrientedGraph` is filtered from these rows,
+  and derives out-neighbour sets only where a set walk needs them.
 
 Instances are immutable after construction; the dynamic-maintenance code
 uses :class:`repro.graph.dynamic.DynamicGraph` instead and converts via

@@ -36,7 +36,7 @@ from repro.cliques.counting import node_scores
 from repro.cliques.listing import iter_cliques
 from repro.core.exact_bb import ExactBBEngine
 from repro.core.result import CliqueSetResult
-from repro.core.scores import clique_key
+from repro.core.scores import sort_by_clique_key
 from repro.parallel import worker
 from repro.parallel.context import resolve_context
 from repro.parallel.shared_csr import SharedCSR
@@ -98,7 +98,7 @@ def parallel_exact_bb(
         )
     # The same canonical order the engine constructor establishes; the
     # workers' stable re-sort over the shared array reproduces it.
-    ordered = sorted(cliques, key=lambda c: clique_key(c, scores))
+    ordered = sort_by_clique_key(cliques, scores)
 
     total = len(ordered)
     tasks = min(total, max(1, workers) * max(1, tasks_per_worker))

@@ -1,9 +1,17 @@
 """Tests for the clique graph (Definition 2) and Theorem 2 bounds."""
 
+import numpy as np
 import pytest
 
-from repro.cliques import build_clique_graph, node_scores
-from repro.core.scores import clique_key, clique_score, degree_bounds
+from repro.cliques import build_clique_graph, listing, node_scores
+from repro.core.scores import (
+    clique_key,
+    clique_score,
+    degree_bounds,
+    sort_by_clique_key,
+)
+from repro.errors import InvalidParameterError
+from repro.graph.generators import erdos_renyi_gnp
 from tests.conftest import PAPER_TRIANGLES
 
 
@@ -69,3 +77,47 @@ class TestCliqueKey:
         scores = node_scores(paper_graph, 3)
         for clique in PAPER_TRIANGLES:
             assert clique_score(clique, scores) == sum(scores[u] for u in clique)
+
+
+class TestSortByCliqueKey:
+    @staticmethod
+    def reference(cliques, scores):
+        return sorted(cliques, key=lambda c: clique_key(c, scores))
+
+    def test_empty(self):
+        assert sort_by_clique_key([], np.zeros(3, dtype=np.int64)) == []
+
+    def test_matches_python_sort_on_listings(self):
+        g = erdos_renyi_gnp(40, 0.4, seed=3)
+        for k in (3, 4):
+            scores = node_scores(g, k)
+            cliques = [tuple(sorted(c)) for c in listing.list_cliques(g, k)]
+            got = sort_by_clique_key(cliques, scores)
+            want = self.reference(cliques, scores)
+            assert got == want
+            assert all(a is b for a, b in zip(got, want))
+
+    def test_unsorted_members_and_ties(self):
+        scores = [5, 1, 1, 1, 2, 0]
+        cliques = [(4, 2, 1), (3, 2, 1), (0, 5, 1), (2, 1, 3), (5, 3, 4)]
+        got = sort_by_clique_key(cliques, scores)
+        assert got == self.reference(cliques, scores)
+        # (3, 2, 1) and (2, 1, 3) share a key; the stable sort keeps input order.
+        assert got.index((3, 2, 1)) < got.index((2, 1, 3))
+
+    def test_duplicates_keep_input_order(self):
+        scores = np.array([1, 1, 1, 1], dtype=np.int64)
+        first, second = (0, 1, 2), (2, 1, 0)
+        cliques = [(1, 2, 3), first, (0, 1, 3), second, first]
+        got = sort_by_clique_key(cliques, scores)
+        assert got == self.reference(cliques, scores)
+        assert [c for c in got if sorted(c) == [0, 1, 2]] == [first, second, first]
+
+    def test_frozensets_accepted(self):
+        scores = [3, 1, 2, 1]
+        cliques = [frozenset({0, 1}), frozenset({2, 3}), frozenset({1, 3})]
+        assert sort_by_clique_key(cliques, scores) == self.reference(cliques, scores)
+
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            sort_by_clique_key([(0, 1, 2), (0, 1)], [1, 1, 1])

@@ -5,7 +5,13 @@ import pytest
 
 from repro import Graph
 from repro.cliques import node_scores
-from repro.graph.csr import CSRAdjacency, concat_rows, in_sorted, intersect_sorted
+from repro.graph.csr import (
+    CSRAdjacency,
+    adjacency_sets,
+    concat_rows,
+    in_sorted,
+    intersect_sorted,
+)
 from repro.graph.generators import complete_graph, erdos_renyi_gnp
 
 
@@ -45,6 +51,37 @@ class TestStructure:
         csr = CSRAdjacency.from_graph(g)
         for u in g.nodes():
             assert csr.row(u).tolist() == sorted(g.neighbors(u))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(0),
+            Graph(1),
+            Graph(6, [(4, 1), (1, 0), (5, 1)]),
+            erdos_renyi_gnp(200, 0.05, seed=4),
+            erdos_renyi_gnp(60, 0.5, seed=5),
+        ],
+    )
+    def test_key_sort_matches_lexsort_build(self, graph):
+        n = graph.n
+        cols = np.fromiter(
+            (v for u in range(n) for v in graph.neighbors(u)), dtype=np.int64
+        )
+        rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+        expected = cols[np.lexsort((cols, rows))]
+        csr = CSRAdjacency.from_graph(graph)
+        assert csr.cols.dtype == np.int64 and csr.indptr.dtype == np.int64
+        assert np.array_equal(csr.cols, expected)
+        assert csr.indptr.tolist() == [0, *np.cumsum(graph.degrees).tolist()]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_adjacency_sets_round_trip(self, seed):
+        g = erdos_renyi_gnp(80, 0.1, seed=seed)
+        csr = g.csr()
+        sets = adjacency_sets(csr.indptr, csr.cols)
+        assert sets == [g.neighbors(u) for u in g.nodes()]
+        assert all(type(v) is int for s in sets for v in s)
+        assert adjacency_sets(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)) == []
 
 
 class TestSortedArrayHelpers:

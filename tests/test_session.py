@@ -6,6 +6,7 @@ from repro import Graph, Session, SolveRequest, find_disjoint_cliques
 from repro.cliques import counting, listing
 from repro.errors import InvalidParameterError, OutOfMemoryError, OutOfTimeError
 from repro.graph.dynamic import DynamicGraph
+from repro.graph.generators import powerlaw_cluster
 
 
 @pytest.fixture
@@ -112,6 +113,23 @@ class TestPreprocessingCache:
         assert session.cache_info()["ks_with_cliques"] == ()
         session.solve(3, "gc")  # full listing still possible afterwards
         assert session.solve(3, "gc").size == 3
+
+
+class TestEstimatedBytes:
+    def test_lazy_out_sets_are_charged_only_once_built(self):
+        graph = powerlaw_cluster(600, 5, 0.5, seed=2)  # csr path (m >= 512)
+        session = Session(graph)
+        session.solve(4, "lp")
+        session.solve(4, "hg")
+        prep = session.prep
+        dags = [*prep._oriented.values(), *prep._score_oriented.values()]
+        assert dags and not any(dag.has_out for dag in dags)
+        cold = session.estimated_bytes()
+        for dag in dags:
+            dag.out
+        built = session.estimated_bytes()
+        # Built sets keep the old per-DAG charge; unbuilt ones cost nothing.
+        assert built - cold == len(dags) * (graph.n * 64 + graph.m * 60)
 
 
 class TestSessionResultsMatchOneShot:
